@@ -1,6 +1,6 @@
 //! Criterion wrappers for the component-sharded representation on the
 //! multi-component federation scenario: network fill, per-assertion
-//! maintenance and batch information gain, monolithic vs sharded. The
+//! maintenance and batch information gain, whole-network vs sharded. The
 //! raw-timing snapshot lives in `exp_sharding` / `BENCH_sharding.json`;
 //! this group gives the same paths a criterion harness for quick relative
 //! comparisons.

@@ -1,7 +1,7 @@
-//! Monolithic vs component-sharded probabilistic networks on the
+//! Whole-network vs component-sharded probabilistic networks on the
 //! multi-component federation scenario.
 //!
-//! For each federation size, builds both representations on the same
+//! For each federation size, builds both partitions on the same
 //! matched network, certifies that their posteriors agree (max probability
 //! delta, entropy delta, determinism of the sharded fill) and reports the
 //! fill / per-assertion / batch-information-gain timings side by side —

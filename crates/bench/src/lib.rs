@@ -13,7 +13,7 @@
 //! | `exp_fig9` | Fig. 9 — uncertainty reduction vs user effort |
 //! | `exp_fig10` | Fig. 10 — ordering strategies vs instantiation quality |
 //! | `exp_fig11` | Fig. 11 — likelihood criterion in instantiation |
-//! | `exp_sharding` | monolithic vs component-sharded probabilistic networks |
+//! | `exp_sharding` | whole-network vs component-sharded probabilistic networks |
 //! | `exp_persist` | durability: snapshot save/load and WAL replay costs |
 //! | `exp_evolve` | incremental maintenance vs full rebuild on an evolving federation |
 //! | `exp_service` | concurrent multi-worker reconciliation: fork/commit costs, worker × error × redundancy grid |

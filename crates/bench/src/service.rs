@@ -46,18 +46,18 @@ pub struct ForkPoint {
     pub distinct_samples: usize,
     /// Microseconds per sharded `fork()` (min over iters).
     pub sharded_fork_us: f64,
-    /// Microseconds per monolithic `fork()` (min over iters).
+    /// Microseconds per whole-network `fork()` (min over iters).
     pub monolithic_fork_us: f64,
     /// Milliseconds for the first assertion on a fresh sharded fork (pays
     /// the one-shard copy-on-write).
     pub sharded_first_assert_cow_ms: f64,
-    /// Milliseconds for the first assertion on a fresh monolithic fork
+    /// Milliseconds for the first assertion on a fresh whole-network fork
     /// (pays the whole-store copy-on-write).
     pub monolithic_first_assert_cow_ms: f64,
     /// Milliseconds per assertion on an *unshared* sharded network — the
     /// PR-3 hot path, must not regress.
     pub sharded_owned_assert_ms: f64,
-    /// Milliseconds per assertion on an *unshared* monolithic network —
+    /// Milliseconds per assertion on an *unshared* whole-network model —
     /// the PR-2 hot path, must not regress.
     pub monolithic_owned_assert_ms: f64,
     /// Microseconds per exact `what_if` on the sharded network.

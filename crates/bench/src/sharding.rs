@@ -1,4 +1,4 @@
-//! Monolithic-vs-sharded measurements behind `BENCH_sharding.json`.
+//! Whole-network-vs-sharded measurements behind `BENCH_sharding.json`.
 //!
 //! The multi-component scenario is a federation of small sparse webform
 //! networks fused into one catalog
@@ -6,7 +6,7 @@
 //! conflict clusters, no cross-cluster candidates — exactly the regime
 //! where the component-sharded `ProbabilisticNetwork` turns per-assertion
 //! and information-gain cost local. Per federation size this module times,
-//! for both representations:
+//! for both partitions:
 //!
 //! * `fill_ms` — building the probabilistic network (initial sampling /
 //!   per-shard exact enumeration);
@@ -17,7 +17,7 @@
 //!
 //! Each point also records the differential evidence — the largest
 //! absolute per-candidate probability delta and the entropy delta between
-//! the representations — and whether both sharded fills were
+//! the partitions — and whether both sharded fills were
 //! bit-deterministic, so the emitted JSON certifies correctness alongside
 //! the win.
 
@@ -83,28 +83,28 @@ pub struct ShardingPoint {
     pub components: usize,
     /// Candidates in the largest component.
     pub largest_component: usize,
-    /// Whether the monolithic store concluded exhaustion (on the product
+    /// Whether the whole-network store concluded exhaustion (on the product
     /// instance space of a federation it generally cannot, which is why
     /// `max_probability_delta` is only meaningful when this is true).
     pub monolithic_exhausted: bool,
     /// Whether every shard ended exhausted (exact posteriors).
     pub sharded_exhausted: bool,
     /// Largest absolute per-candidate probability delta between the
-    /// representations (expected ≈ 0 when both are exhausted).
+    /// partitions (expected ≈ 0 when both are exhausted).
     pub max_probability_delta: f64,
-    /// Absolute entropy delta between the representations.
+    /// Absolute entropy delta between the partitions.
     pub entropy_delta: f64,
     /// Whether two independent sharded builds agreed bit-for-bit.
     pub deterministic: bool,
-    /// Milliseconds to build the monolithic network (min over iters).
+    /// Milliseconds to build the whole-network model (min over iters).
     pub monolithic_fill_ms: f64,
     /// Milliseconds to build the sharded network (min over iters).
     pub sharded_fill_ms: f64,
-    /// Milliseconds per monolithic `assert_candidate` (min over iters).
+    /// Milliseconds per whole-network `assert_candidate` (min over iters).
     pub monolithic_assert_ms: f64,
     /// Milliseconds per sharded `assert_candidate` (min over iters).
     pub sharded_assert_ms: f64,
-    /// Milliseconds per monolithic batch `information_gains` over the
+    /// Milliseconds per whole-network batch `information_gains` over the
     /// uncertain pool (min over iters).
     pub monolithic_gains_ms: f64,
     /// Milliseconds per sharded batch `information_gains` (min over
@@ -115,7 +115,7 @@ pub struct ShardingPoint {
 /// Two uncertain candidates sharing a shard — the warm-up-then-measure
 /// pair of the owned-assert protocol: asserting the first unshares the
 /// shard so timing the second measures the owned hot path, not the
-/// copy-on-write. (On a monolithic network every candidate shares the
+/// copy-on-write. (On a whole-network model every candidate shares the
 /// single shard, so any warm-up works.) Shared by this module's
 /// `measure_point` and the `service` bench module.
 pub fn owned_probe(pn: &ProbabilisticNetwork) -> (CandidateId, CandidateId) {

@@ -1,12 +1,12 @@
 //! The sharding differential suite — runs in the release-mode bench smoke
 //! CI step (`cargo test --release -p smn-bench`).
 //!
-//! * differential: monolithic and sharded representations agree within
+//! * differential: whole-network (one-block) and component-sharded partitions agree within
 //!   1e-12 (probabilities, entropy, information gains) on a federation
-//!   scenario small enough for the monolithic store to truly exhaust, and
+//!   scenario small enough for the whole-network store to truly exhaust, and
 //!   a fixed assertion sequence produces identical traces;
 //! * exactness: the sharded posterior matches an independent per-component
-//!   exact enumeration on the full-size federation, where the monolithic
+//!   exact enumeration on the full-size federation, where the whole-network
 //!   sampler cannot exhaust the product space at all;
 //! * determinism smoke: two identically-seeded sharded runs emit
 //!   byte-identical report JSON.
@@ -23,7 +23,7 @@ use smn_core::{
 use smn_datasets::{FederationSpec, SharingModel, Vocabulary};
 use smn_schema::CandidateId;
 
-/// A federation small enough that the monolithic sampler provably
+/// A federation small enough that the whole-network sampler provably
 /// enumerates all of Ω (so the 1e-12 differential is exact-vs-exact).
 fn tiny_federation(seed: u64) -> (smn_core::MatchingNetwork, Vec<smn_schema::Correspondence>) {
     let fed = FederationSpec {
@@ -113,7 +113,7 @@ fn fixed_assertion_sequence_produces_identical_traces() {
 #[test]
 fn sharded_posterior_is_exact_where_the_monolithic_sampler_cannot_be() {
     // the full-size federation: the instance space is the product over
-    // dozens of components, far beyond any n_min — the monolithic store
+    // dozens of components, far beyond any n_min — the whole-network store
     // samples, the sharded one enumerates per component
     let net = federation_network(12, 7);
     let sharded =

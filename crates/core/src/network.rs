@@ -85,6 +85,12 @@ impl MatchingNetwork {
         &self.index
     }
 
+    /// The conflict index as a shared pointer — the whole-network sample
+    /// block runs on it directly instead of a copy.
+    pub(crate) fn shared_index(&self) -> Arc<ConflictIndex> {
+        Arc::clone(&self.index)
+    }
+
     /// `|C|`.
     pub fn candidate_count(&self) -> usize {
         self.candidates.len()

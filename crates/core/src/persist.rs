@@ -144,10 +144,12 @@ pub struct ShardState {
     pub store: StoreState,
 }
 
-/// The serialized sample representation.
+/// The serialized sample partition.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReprState {
-    /// One store over the whole network.
+    /// The whole-network partition: its one block's store. The block's
+    /// member list (every id) and local feedback (the global feedback) are
+    /// implied, so the format stores neither.
     Monolithic(StoreState),
     /// One store per conflict component.
     Sharded {
@@ -180,7 +182,7 @@ pub struct NetworkState {
     pub feedback: FeedbackState,
     /// Network-level sampler config.
     pub sampler: SamplerConfig,
-    /// Sharding config (`None` for the monolithic representation).
+    /// Sharding config (`None` for the whole-network (one-block) partition).
     pub sharding: Option<ShardingConfig>,
     /// The construction-time entropy baseline.
     pub initial_entropy: f64,

@@ -8,16 +8,17 @@
 //! as a black-box … it contains all the information given by matchers and
 //! user assertions".
 //!
-//! Two internal representations back the same public API:
+//! One sample representation backs the API, a `ShardSet`: a partition
+//! of the candidates into blocks, each with its own [`SampleStore`] (see
+//! [`crate::shard`]). Two partitions are in use:
 //!
-//! * **monolithic** ([`ProbabilisticNetwork::new`]) — one [`SampleStore`]
-//!   over the whole candidate set, the classic Algorithm 3 setup;
+//! * **whole network** ([`ProbabilisticNetwork::new`]) — one block over
+//!   the whole candidate set, the classic Algorithm 3 setup;
 //! * **component-sharded** ([`ProbabilisticNetwork::new_sharded`]) — one
-//!   independent store per conflict component (see [`crate::shard`]).
-//!   Because the distribution factorizes exactly over components, the two
-//!   representations agree on probabilities, entropy and information gain
-//!   (bit-for-bit on exhausted stores), while assertions and gain scans
-//!   cost per-shard instead of per-network.
+//!   block per conflict component. Because the distribution factorizes
+//!   exactly over components, the two partitions agree on probabilities,
+//!   entropy and information gain (bit-for-bit on exhausted stores), while
+//!   assertions and gain scans cost per-shard instead of per-network.
 
 use crate::entropy::{binary_entropy, entropy_of};
 use crate::feedback::{Assertion, Feedback};
@@ -100,20 +101,11 @@ pub struct CommitOutcome {
     pub approved: bool,
     /// Integrated as requested, flipped to a disapproval, or skipped.
     pub outcome: StepOutcome,
-    /// The shard that owns the candidate (0 for monolithic networks).
+    /// The shard that owns the candidate (0 for the whole-network block).
     pub shard: usize,
     /// Whether the model actually changed: `false` for skips *and* for
     /// same-way re-assertions that resolved as no-op integrations.
     pub mutated: bool,
-}
-
-/// The sample representation behind the probability vector.
-#[derive(Debug, Clone)]
-enum Repr {
-    /// One store over the whole network.
-    Monolithic(SampleStore),
-    /// One independent store per conflict component.
-    Sharded(ShardSet),
 }
 
 /// The probabilistic matching network: network + feedback + samples + `P`.
@@ -121,15 +113,16 @@ enum Repr {
 pub struct ProbabilisticNetwork {
     network: MatchingNetwork,
     feedback: Feedback,
-    repr: Repr,
+    set: ShardSet,
     probs: Vec<f64>,
     initial_entropy: f64,
     /// The sampler configuration the network was built with — evolution
     /// ([`extend`](Self::extend) / [`retire`](Self::retire)) reuses it for
     /// shard rebuilds.
     sampler: SamplerConfig,
-    /// The sharding configuration (`None` for the monolithic
-    /// representation), kept for the same reason.
+    /// The sharding configuration, kept for the same reason; `None` for
+    /// the whole-network partition, which evolution re-samples instead of
+    /// re-partitioning.
     sharding: Option<ShardingConfig>,
     /// Monotone mutation counter: bumped on every call that actually
     /// changes the model (integrated assertion, extend, retire) and
@@ -140,7 +133,7 @@ pub struct ProbabilisticNetwork {
     /// Per-shard mutation epochs for the gain cache: globally unique
     /// values from [`crate::gains::next_epoch`], re-stamped whenever the
     /// shard's state actually changes. Indexed by shard id (one entry
-    /// for the monolithic representation).
+    /// for the whole-network block).
     shard_epochs: Vec<u64>,
     /// The structural epoch: refreshed wholesale by extend / retire,
     /// which renumber shards. See [`crate::gains`].
@@ -151,12 +144,13 @@ pub struct ProbabilisticNetwork {
 }
 
 impl ProbabilisticNetwork {
-    /// Builds the probabilistic network with a monolithic sample store:
-    /// samples matching instances and derives initial probabilities.
+    /// Builds the probabilistic network over the whole-network partition
+    /// (one block, seeded `config.seed`, always sampled): samples matching
+    /// instances and derives initial probabilities.
     pub fn new(network: MatchingNetwork, config: SamplerConfig) -> Self {
         let feedback = Feedback::new(network.candidate_count());
-        let store = SampleStore::new(&network, &feedback, config);
-        Self::finish(network, feedback, Repr::Monolithic(store), config, None)
+        let set = sample_whole(&network, &feedback, config);
+        Self::finish(network, feedback, set, config, None)
     }
 
     /// Builds the probabilistic network sharded by conflict component
@@ -174,39 +168,31 @@ impl ProbabilisticNetwork {
         }
         let feedback = Feedback::new(network.candidate_count());
         let set = ShardSet::build(network.index(), config, &sharding);
-        Self::finish(network, feedback, Repr::Sharded(set), config, Some(sharding))
+        Self::finish(network, feedback, set, config, Some(sharding))
     }
 
     fn finish(
         network: MatchingNetwork,
         feedback: Feedback,
-        repr: Repr,
+        set: ShardSet,
         sampler: SamplerConfig,
         sharding: Option<ShardingConfig>,
     ) -> Self {
-        let n = network.candidate_count();
-        let mut probs = vec![0.0; n];
-        match &repr {
-            Repr::Monolithic(store) => recompute_monolithic(store, &feedback, &mut probs),
-            Repr::Sharded(set) => set.write_all_probabilities(&mut probs),
-        }
+        let mut probs = vec![0.0; network.candidate_count()];
+        set.write_all_probabilities(&mut probs);
         let epoch = crate::gains::next_epoch();
-        let shards = match &repr {
-            Repr::Monolithic(_) => 1,
-            Repr::Sharded(set) => set.components.count(),
-        };
         let mut pn = Self {
             network,
             feedback,
-            repr,
             probs,
             initial_entropy: 0.0,
             sampler,
             sharding,
             generation: 0,
-            shard_epochs: vec![epoch; shards],
+            shard_epochs: vec![epoch; set.shards.len()],
             structure_epoch: epoch,
             gain_cache: Arc::new(Mutex::new(GainCache::default())),
+            set,
         };
         pn.initial_entropy = pn.entropy();
         pn
@@ -222,12 +208,16 @@ impl ProbabilisticNetwork {
     /// index contributes its posting lists and triple table, shards their
     /// member lists, local feedback and sample state; every derived
     /// structure (dense masks, sub-indices, matrices, probabilities) is
-    /// rebuilt by [`from_state`](Self::from_state).
+    /// rebuilt by [`from_state`](Self::from_state). The whole-network
+    /// block is written as [`ReprState::Monolithic`](crate::persist::ReprState)
+    /// — its store alone, since its member list is every id and its local
+    /// feedback is the global feedback.
     pub fn to_state(&self) -> crate::persist::NetworkState {
         use crate::persist::*;
-        let repr = match &self.repr {
-            Repr::Monolithic(store) => ReprState::Monolithic(store.to_state()),
-            Repr::Sharded(set) => ReprState::Sharded {
+        let set = &self.set;
+        let repr = match self.sharding {
+            None => ReprState::Monolithic(set.shards[0].store.to_state()),
+            Some(_) => ReprState::Sharded {
                 members: (0..set.components.count())
                     .map(|k| set.components.members(k).iter().map(|c| c.0).collect())
                     .collect(),
@@ -263,17 +253,24 @@ impl ProbabilisticNetwork {
         let network = network_from_state(state)?;
         let n = network.candidate_count();
         let feedback = state.feedback.build(n)?;
-        let repr = match &state.repr {
+        let set = match &state.repr {
             ReprState::Monolithic(store) => {
+                if state.sharding.is_some() {
+                    return Err("whole-network store under a sharding config".into());
+                }
                 if store.candidate_count != n {
                     return Err(format!(
                         "store sized for {} candidates, network has {n}",
                         store.candidate_count
                     ));
                 }
-                Repr::Monolithic(SampleStore::from_state(store)?)
+                let store = SampleStore::from_state(store)?;
+                ShardSet::whole(network.shared_index(), feedback.clone(), store)
             }
             ReprState::Sharded { members, shards } => {
+                if state.sharding.is_none() {
+                    return Err("component shards without a sharding config".into());
+                }
                 if members.len() != shards.len() {
                     return Err(format!(
                         "{} component lists for {} shards",
@@ -309,39 +306,19 @@ impl ProbabilisticNetwork {
                                 s.store.candidate_count
                             ));
                         }
-                        Ok(std::sync::Arc::new(crate::shard::ShardSnapshot {
+                        Ok(Arc::new(crate::shard::ShardSnapshot {
                             index: sub_indices[k].clone(),
                             feedback: s.feedback.build(m)?,
                             store: SampleStore::from_state(&s.store)?,
                         }))
                     })
                     .collect::<Result<Vec<_>, String>>()?;
-                Repr::Sharded(ShardSet { components: std::sync::Arc::new(components), shards })
+                ShardSet { components: Arc::new(components), shards }
             }
         };
-        let mut probs = vec![0.0; n];
-        match &repr {
-            Repr::Monolithic(store) => recompute_monolithic(store, &feedback, &mut probs),
-            Repr::Sharded(set) => set.write_all_probabilities(&mut probs),
-        }
-        let epoch = crate::gains::next_epoch();
-        let shards = match &repr {
-            Repr::Monolithic(_) => 1,
-            Repr::Sharded(set) => set.components.count(),
-        };
-        Ok(Self {
-            network,
-            feedback,
-            repr,
-            probs,
-            initial_entropy: state.initial_entropy,
-            sampler: state.sampler,
-            sharding: state.sharding,
-            generation: 0,
-            shard_epochs: vec![epoch; shards],
-            structure_epoch: epoch,
-            gain_cache: Arc::new(Mutex::new(GainCache::default())),
-        })
+        let mut pn = Self::finish(network, feedback, set, state.sampler, state.sharding);
+        pn.initial_entropy = state.initial_entropy;
+        Ok(pn)
     }
 
     /// The mutation generation: bumped exactly when the model actually
@@ -358,50 +335,41 @@ impl ProbabilisticNetwork {
         &self.feedback
     }
 
-    /// The distinct sampled matching instances Ω\* of the *monolithic*
-    /// store. The sharded representation never materializes global
-    /// samples — that is the point of factorizing — so it returns an
-    /// empty slice; use
+    /// The distinct sampled matching instances Ω\* of the whole-network
+    /// block (its local ids are the global ids). The component-sharded
+    /// partition never materializes global samples — that is the point of
+    /// factorizing — so it returns an empty slice; use
     /// [`distinct_sample_count`](ProbabilisticNetwork::distinct_sample_count)
     /// for coverage diagnostics that work for both.
     pub fn samples(&self) -> &[BitSet] {
-        match &self.repr {
-            Repr::Monolithic(store) => store.samples(),
-            Repr::Sharded(_) => &[],
+        match self.sharding {
+            None => self.set.shards[0].store.samples(),
+            Some(_) => &[],
         }
     }
 
-    /// Distinct stored instances: `|Ω*|` for the monolithic store, the sum
-    /// of per-shard counts for the sharded one (whose factorized coverage
-    /// is the *product* of the per-shard counts).
+    /// Distinct stored instances: `|Ω*|` for the whole-network block, the
+    /// sum of per-shard counts for the sharded partition (whose factorized
+    /// coverage is the *product* of the per-shard counts).
     pub fn distinct_sample_count(&self) -> usize {
-        match &self.repr {
-            Repr::Monolithic(store) => store.len(),
-            Repr::Sharded(set) => set.distinct_samples(),
-        }
+        self.set.distinct_samples()
     }
 
-    /// Number of independent sample stores: 1 for the monolithic
-    /// representation, the conflict-component count for the sharded one.
+    /// Number of independent sample stores: 1 for the whole-network
+    /// partition, the conflict-component count for the sharded one.
     pub fn shard_count(&self) -> usize {
-        match &self.repr {
-            Repr::Monolithic(_) => 1,
-            Repr::Sharded(set) => set.shards.len(),
-        }
+        self.set.shards.len()
     }
 
-    /// Whether this network uses the component-sharded representation.
+    /// Whether this network is partitioned by conflict component.
     pub fn is_sharded(&self) -> bool {
-        matches!(self.repr, Repr::Sharded(_))
+        self.sharding.is_some()
     }
 
-    /// Whether Ω\* provably equals Ω (probabilities are exact) — for the
-    /// sharded representation, whether *every* shard is exhausted.
+    /// Whether Ω\* provably equals Ω (probabilities are exact): whether
+    /// *every* shard is exhausted.
     pub fn is_exhausted(&self) -> bool {
-        match &self.repr {
-            Repr::Monolithic(store) => store.is_exhausted(),
-            Repr::Sharded(set) => set.is_exhausted(),
-        }
+        self.set.is_exhausted()
     }
 
     /// The probability vector `P`, indexed by candidate id.
@@ -415,8 +383,8 @@ impl ProbabilisticNetwork {
     }
 
     /// Network uncertainty `H(C, P)` in bits (Eq. 3). For the sharded
-    /// representation this equals the sum of per-shard entropies — entropy
-    /// is additive over independent components.
+    /// partition this equals the sum of per-shard entropies — entropy is
+    /// additive over independent components.
     pub fn entropy(&self) -> f64 {
         entropy_of(&self.probs)
     }
@@ -500,59 +468,37 @@ impl ProbabilisticNetwork {
     /// on candidate `c` re-evaluates only `c`'s own shard,
     /// `H' = H − H_k + H'_k`, with the current entropy computed once for
     /// the whole batch and each touched shard's standing entropy `H_k`
-    /// computed once and shared across every query of that shard. The
-    /// monolithic representation has no locality to exploit; it still
-    /// shares one scratch probability buffer across all queries instead of
-    /// forking the surrounding network per candidate.
+    /// computed once and shared across every query of that shard. On the
+    /// whole-network block `H_k = H` term for term, so a query costs one
+    /// store copy and its entropy, never a fork of the surrounding network.
     ///
     /// Assertions the model would reject (contradictions, inconsistent
     /// approvals) and same-way re-assertions leave a real model unchanged
     /// and evaluate to the current entropy, exactly as in `what_if`.
     pub fn what_if_batch(&self, queries: &[(CandidateId, bool)]) -> Vec<f64> {
         let h_current = self.entropy();
-        match &self.repr {
-            Repr::Monolithic(store) => {
-                let mut scratch = Vec::new();
-                queries
-                    .iter()
-                    .map(|&(c, approved)| {
-                        if self.assertion_is_inert(c, approved) {
-                            return h_current;
-                        }
-                        let mut feedback = self.feedback.clone();
-                        feedback.assert(Assertion { candidate: c, approved });
-                        let mut branch = store.clone();
-                        branch.maintain(&self.network, &feedback, c, approved);
-                        recompute_monolithic(&branch, &feedback, &mut scratch);
-                        entropy_of(&scratch)
-                    })
-                    .collect()
-            }
-            Repr::Sharded(set) => {
-                let mut out = vec![0.0; queries.len()];
-                // bucket query positions by owning shard so the standing
-                // per-shard entropy H_k is computed once per shard
-                let mut by_shard: HashMap<usize, Vec<usize>> = HashMap::new();
-                for (pos, &(c, approved)) in queries.iter().enumerate() {
-                    if self.assertion_is_inert(c, approved) {
-                        out[pos] = h_current;
-                    } else {
-                        by_shard.entry(set.components.component_of(c)).or_default().push(pos);
-                    }
-                }
-                for (k, positions) in by_shard {
-                    let members = set.components.members(k);
-                    let h_k: f64 =
-                        members.iter().map(|&g| binary_entropy(self.probs[g.index()])).sum();
-                    for pos in positions {
-                        let (c, approved) = queries[pos];
-                        let lc = CandidateId::from_index(set.components.local_index(c));
-                        out[pos] = (h_current - h_k + set.entropy_after(k, lc, approved)).max(0.0);
-                    }
-                }
-                out
+        let set = &self.set;
+        let mut out = vec![0.0; queries.len()];
+        // bucket query positions by owning shard so the standing
+        // per-shard entropy H_k is computed once per shard
+        let mut by_shard: HashMap<usize, Vec<usize>> = HashMap::new();
+        for (pos, &(c, approved)) in queries.iter().enumerate() {
+            if self.assertion_is_inert(c, approved) {
+                out[pos] = h_current;
+            } else {
+                by_shard.entry(set.components.component_of(c)).or_default().push(pos);
             }
         }
+        for (k, positions) in by_shard {
+            let members = set.components.members(k);
+            let h_k: f64 = members.iter().map(|&g| binary_entropy(self.probs[g.index()])).sum();
+            for pos in positions {
+                let (c, approved) = queries[pos];
+                let lc = CandidateId::from_index(set.components.local_index(c));
+                out[pos] = (h_current - h_k + set.entropy_after(k, lc, approved)).max(0.0);
+            }
+        }
+        out
     }
 
     /// Whether integrating `(candidate, approved)` would leave the model
@@ -566,33 +512,24 @@ impl ProbabilisticNetwork {
     }
 
     /// Which shard owns `c`: its conflict-component id in the sharded
-    /// representation, `0` in the monolithic one (a single store owns
+    /// partition, `0` in the whole-network one (a single block owns
     /// everything). The service-layer dispatcher uses this to spread
     /// concurrent questions across distinct shards.
     pub fn shard_of(&self, c: CandidateId) -> usize {
-        match &self.repr {
-            Repr::Monolithic(_) => 0,
-            Repr::Sharded(set) => set.components.component_of(c),
-        }
+        self.set.components.component_of(c)
     }
 
     /// The candidates shard `k` owns, ascending id — every candidate for
-    /// the monolithic representation (its single store owns everything).
-    /// The serving layer uses this to overlay exactly the shards a
-    /// session echoed answers into.
+    /// the whole-network partition. The serving layer uses this to overlay
+    /// exactly the shards a session echoed answers into.
     pub fn shard_members(&self, k: usize) -> Vec<CandidateId> {
-        match &self.repr {
-            Repr::Monolithic(_) => {
-                (0..self.network.candidate_count()).map(CandidateId::from_index).collect()
-            }
-            Repr::Sharded(set) => set.components.members(k).to_vec(),
-        }
+        self.set.components.members(k).to_vec()
     }
 
     /// Integrates a user assertion: checks it against the standing
     /// feedback and the approval constraints, then updates the feedback,
     /// view-maintains the samples and recomputes `P` — only the owning
-    /// shard in the sharded representation.
+    /// shard's slice.
     ///
     /// Re-asserting a candidate the *same* way is a successful no-op (no
     /// maintenance, no recompute). Asserting it the *other* way, or
@@ -606,13 +543,7 @@ impl ProbabilisticNetwork {
         let Assertion { candidate, approved } = assertion;
         let k = self.shard_of(candidate);
         self.feedback.assert(assertion);
-        match &mut self.repr {
-            Repr::Monolithic(store) => {
-                store.maintain(&self.network, &self.feedback, candidate, approved);
-                recompute_monolithic(store, &self.feedback, &mut self.probs);
-            }
-            Repr::Sharded(set) => set.assert(candidate, approved, &mut self.probs),
-        }
+        self.set.assert(candidate, approved, &mut self.probs);
         self.generation += 1;
         self.shard_epochs[k] = crate::gains::next_epoch();
         Ok(())
@@ -656,15 +587,9 @@ impl ProbabilisticNetwork {
     /// — and the result is byte-identical to [`CommitExec::Sequential`]
     /// because lanes are installed (and the mutation
     /// [`generation`](Self::generation) advanced) in ascending shard
-    /// order either way. Monolithic networks have a single lane and always
-    /// commit sequentially.
+    /// order either way. A single lane — always the case for the
+    /// whole-network block — commits on the calling thread.
     pub fn commit_batch(&mut self, requests: &[Assertion], exec: CommitExec) -> Vec<CommitOutcome> {
-        if requests.is_empty() {
-            return Vec::new();
-        }
-        if !matches!(self.repr, Repr::Sharded(_)) {
-            return requests.iter().map(|&req| self.commit_one(req, 0)).collect();
-        }
         // bucket request positions by owning shard; BTreeMap fixes the
         // lane install order (ascending shard id) independent of exec
         let mut by_shard: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
@@ -675,7 +600,7 @@ impl ProbabilisticNetwork {
             .iter()
             .map(|(&k, positions)| (k, positions.iter().map(|&p| requests[p]).collect()))
             .collect();
-        let Repr::Sharded(set) = &self.repr else { unreachable!() };
+        let set = &self.set;
         type LaneResult = (Option<crate::shard::ShardSnapshot>, Vec<(bool, StepOutcome, bool)>);
         let run_lane = |(k, events): &(usize, Vec<Assertion>)| set.commit_lane(*k, events);
         let lane_results: Vec<LaneResult> = if lanes.len() <= 1 {
@@ -703,10 +628,8 @@ impl ProbabilisticNetwork {
             lanes.iter().zip(by_shard.values()).zip(lane_results)
         {
             if let Some(snap) = snapshot {
-                let Repr::Sharded(set) = &mut self.repr else { unreachable!() };
-                set.shards[*k] = std::sync::Arc::new(snap);
-                let Repr::Sharded(set) = &self.repr else { unreachable!() };
-                set.write_shard_probabilities(*k, &mut self.probs);
+                self.set.shards[*k] = Arc::new(snap);
+                self.set.write_shard_probabilities(*k, &mut self.probs);
             }
             for (&pos, &(approved, outcome, mutated)) in positions.iter().zip(&results) {
                 let candidate = requests[pos].candidate;
@@ -723,38 +646,11 @@ impl ProbabilisticNetwork {
         out.into_iter().map(|o| o.expect("every request routed to a lane")).collect()
     }
 
-    /// The sequential ladder behind the monolithic [`commit_batch`]
-    /// arm: validate (no fork, no clone), integrate or fall back, report.
-    fn commit_one(&mut self, req: Assertion, shard: usize) -> CommitOutcome {
-        let ladder = match self.validate_assertion(req) {
-            Ok(m) => Some((req.approved, StepOutcome::Integrated, m)),
-            Err(_) => {
-                let fallback = Assertion { candidate: req.candidate, approved: false };
-                match self.validate_assertion(fallback) {
-                    Ok(m) => Some((false, StepOutcome::Flipped, m)),
-                    Err(_) => None,
-                }
-            }
-        };
-        let (approved, outcome, mutated) =
-            ladder.unwrap_or((req.approved, StepOutcome::Skipped, false));
-        if mutated {
-            self.assert_candidate(Assertion { candidate: req.candidate, approved })
-                .expect("validated assertion integrates");
-        }
-        CommitOutcome { candidate: req.candidate, approved, outcome, shard, mutated }
-    }
-
     /// Whether approving `candidate` (currently unasserted) keeps the
-    /// approved set consistent. Conflicts never span components, so the
-    /// sharded check runs on the owning shard only.
+    /// approved set consistent. Conflicts never span blocks, so the check
+    /// runs on the owning shard only.
     fn approval_is_consistent(&self, candidate: CandidateId) -> bool {
-        match &self.repr {
-            Repr::Monolithic(_) => {
-                self.network.index().can_add(self.feedback.approved(), candidate)
-            }
-            Repr::Sharded(set) => set.approval_is_consistent(candidate),
-        }
+        self.set.approval_is_consistent(candidate)
     }
 
     /// Admits a new candidate correspondence online and returns its id
@@ -762,12 +658,12 @@ impl ProbabilisticNetwork {
     ///
     /// The network is patched incrementally:
     /// [`MatchingNetwork::extend`] grows the conflict index from the
-    /// arrival's neighbourhood, and the sharded representation merges only
-    /// the conflict components the arrival couples — carrying over
+    /// arrival's neighbourhood, and the sharded partition merges only the
+    /// conflict components the arrival couples — carrying over
     /// still-consistent samples and refilling (or exactly re-enumerating)
     /// just the merged shard, while every other shard and probability is
-    /// untouched. The monolithic representation has no locality to
-    /// exploit; its store is refilled under the accumulated feedback.
+    /// untouched. The whole-network partition has no locality to exploit:
+    /// it stays one block, re-sampled under the accumulated feedback.
     ///
     /// Errors (duplicate pair, non-edge, bad confidence, …) leave the
     /// model untouched.
@@ -779,17 +675,12 @@ impl ProbabilisticNetwork {
     ) -> Result<CandidateId, SchemaError> {
         let id = self.network.extend(x, y, confidence)?;
         self.feedback.grow();
-        match &mut self.repr {
-            Repr::Monolithic(store) => {
-                *store =
-                    SampleStore::with_index(self.network.index(), &self.feedback, self.sampler);
-                recompute_monolithic(store, &self.feedback, &mut self.probs);
+        self.probs.push(0.0);
+        match self.sharding {
+            Some(sharding) => {
+                self.set.extend(self.network.index(), self.sampler, &sharding, &mut self.probs);
             }
-            Repr::Sharded(set) => {
-                self.probs.push(0.0);
-                let sharding = self.sharding.expect("sharded repr carries its sharding config");
-                set.extend(self.network.index(), self.sampler, &sharding, &mut self.probs);
-            }
+            None => self.resample_whole(),
         }
         self.generation += 1;
         self.bump_structure();
@@ -801,29 +692,24 @@ impl ProbabilisticNetwork {
     /// later id shifts down by one), any assertion on it is discarded, and
     /// the model re-derives the posterior over the survivors.
     ///
-    /// As with [`extend`](Self::extend) the patch is incremental: only the
-    /// retired candidate's conflict component is re-extracted — split into
-    /// its surviving sub-components, their samples carried over and
-    /// re-maximized — while every other shard survives verbatim. An
-    /// unknown id is a typed error that leaves the model untouched.
+    /// As with [`extend`](Self::extend) the sharded patch is incremental:
+    /// only the retired candidate's conflict component is re-extracted —
+    /// split into its surviving sub-components, their samples carried over
+    /// and re-maximized — while every other shard survives verbatim; the
+    /// whole-network block is re-sampled. An unknown id is a typed error
+    /// that leaves the model untouched.
     pub fn retire(&mut self, c: CandidateId) -> Result<(), SchemaError> {
         if c.index() >= self.network.candidate_count() {
             return Err(SchemaError::UnknownCandidate(c));
         }
         self.network.retire(c)?;
-        match &mut self.repr {
-            Repr::Monolithic(store) => {
-                self.feedback.retire(c);
-                *store =
-                    SampleStore::with_index(self.network.index(), &self.feedback, self.sampler);
-                recompute_monolithic(store, &self.feedback, &mut self.probs);
+        self.feedback.retire(c);
+        self.probs.remove(c.index());
+        match self.sharding {
+            Some(sharding) => {
+                self.set.retire(self.network.index(), c, self.sampler, &sharding, &mut self.probs);
             }
-            Repr::Sharded(set) => {
-                self.probs.remove(c.index());
-                let sharding = self.sharding.expect("sharded repr carries its sharding config");
-                set.retire(self.network.index(), c, self.sampler, &sharding, &mut self.probs);
-                self.feedback.retire(c);
-            }
+            None => self.resample_whole(),
         }
         self.generation += 1;
         self.bump_structure();
@@ -831,17 +717,20 @@ impl ProbabilisticNetwork {
         Ok(())
     }
 
+    /// The whole-network partition's evolution step: one block again,
+    /// re-sampled from scratch under the accumulated feedback.
+    fn resample_whole(&mut self) {
+        self.set = sample_whole(&self.network, &self.feedback, self.sampler);
+        self.set.write_all_probabilities(&mut self.probs);
+    }
+
     /// Re-stamps the structural epoch and every shard epoch after an
     /// evolution step: extend / retire renumber conflict components, so
     /// nothing previously cached may be trusted by shard id again.
     fn bump_structure(&mut self) {
         let epoch = crate::gains::next_epoch();
-        let shards = match &self.repr {
-            Repr::Monolithic(_) => 1,
-            Repr::Sharded(set) => set.components.count(),
-        };
         self.structure_epoch = epoch;
-        self.shard_epochs = vec![epoch; shards];
+        self.shard_epochs = vec![epoch; self.set.shards.len()];
     }
 
     /// Keeps [`normalized_entropy`](Self::normalized_entropy) meaningful
@@ -860,10 +749,9 @@ impl ProbabilisticNetwork {
     /// membership of `c`.
     ///
     /// For certain candidates this equals `H(C, P)` (one branch is empty),
-    /// making their information gain zero. Defined — for both
-    /// representations — as `H(C, P) − IG(c)` over the single
-    /// `gains_within` split kernel, so the Eq. 4/5 math lives in exactly
-    /// one place.
+    /// making their information gain zero. Defined as `H(C, P) − IG(c)`
+    /// over the single `gains_within` split kernel, so the Eq. 4/5 math
+    /// lives in exactly one place.
     pub fn conditional_entropy(&self, c: CandidateId) -> f64 {
         (self.entropy() - self.information_gain(c)).max(0.0)
     }
@@ -871,156 +759,114 @@ impl ProbabilisticNetwork {
     /// Information gain `IG(c) = H(C, P) − H(C | c, P)` (Eq. 5), clamped to
     /// zero against floating-point noise.
     ///
-    /// Monolithic networks run the `gains_within` kernel on the global
-    /// sample matrix; sharded ones on the owning shard only — candidates
-    /// outside `c`'s component are independent of it, so their
-    /// co-occurrence terms contribute zero gain. When the shared gain
-    /// cache already holds `c`'s shard at the current epoch the value is
-    /// served from it — bit-identical by construction (the cache is
-    /// filled through the same kernel) — and a cold cache is left cold:
+    /// The `gains_within` kernel runs on the owning shard only — exactly
+    /// Eq. 5, because candidates outside `c`'s block are independent of
+    /// it, so their co-occurrence terms contribute zero gain. When the
+    /// shared gain cache already holds `c`'s shard at the current epoch the
+    /// value is served from it — bit-identical by construction (the cache
+    /// is filled through the same kernel) — and a cold cache is left cold:
     /// this point query never triggers a batch refresh.
     pub fn information_gain(&self, c: CandidateId) -> f64 {
         if let Some(gain) = self.warm_cached_gain(c) {
             return gain;
         }
-        match &self.repr {
-            Repr::Monolithic(store) => gains_within(store.matrix(), &self.probs, &[c.index()])[0],
-            Repr::Sharded(_) => self.sharded_gain(c),
-        }
+        let (k, lc) = self.set.locate(c);
+        gains_within(self.set.shards[k].store.matrix(), &self.shard_probs(k), &[lc.index()])[0]
     }
 
-    /// Within-shard information gain of `c` — exactly Eq. 5, because
-    /// cross-component co-occurrence terms cancel.
-    fn sharded_gain(&self, c: CandidateId) -> f64 {
-        let Repr::Sharded(set) = &self.repr else {
-            unreachable!("sharded_gain on monolithic representation")
-        };
-        let (k, lc) = set.locate(c);
-        let shard = &set.shards[k];
-        let members = set.components.members(k);
-        let local_probs: Vec<f64> = members.iter().map(|&g| self.probs[g.index()]).collect();
-        gains_within(shard.store.matrix(), &local_probs, &[lc.index()])[0]
+    /// Shard `k`'s slice of `P` in local id order.
+    fn shard_probs(&self, k: usize) -> Vec<f64> {
+        self.set.components.members(k).iter().map(|&g| self.probs[g.index()]).collect()
     }
 
     /// Batch information gain for a pool of candidates; gains are aligned
     /// with `pool`.
     ///
-    /// Both representations run the word-parallel kernel of
-    /// `gains_within` kernel: co-occurrence masses are AND+popcounts of
-    /// candidate rows and branch entropies come from per-denominator
-    /// lookup tables. The monolithic scan costs `O(|pool|·n·S/64)` word
-    /// operations; the sharded one evaluates each candidate against its
-    /// own component only — cross-component candidates are independent, so
-    /// their co-occurrence terms contribute zero gain — which turns the
-    /// scan into a sum of per-shard costs.
+    /// Each candidate is evaluated against its own block only, through the
+    /// word-parallel `gains_within` kernel: co-occurrence masses are
+    /// AND+popcounts of candidate rows and branch entropies come from
+    /// per-denominator lookup tables. A block costs `O(|pool_k|·n_k·S/64)`
+    /// word operations, so the scan is a sum of per-shard costs —
+    /// `O(|pool|·n·S/64)` for the whole-network block.
     pub fn information_gains(&self, pool: &[CandidateId]) -> Vec<f64> {
-        match &self.repr {
-            Repr::Monolithic(store) => {
-                let locals: Vec<usize> = pool.iter().map(|c| c.index()).collect();
-                // every candidate's gain is a pure function of (matrix,
-                // probs), so contiguous pool chunks evaluate independently
-                // on the worker pool and concatenate in chunk order — the
-                // values are identical to the sequential scan no matter how
-                // the chunks are scheduled. The denominator tables are
-                // memoized per worker thread from the same closed form
-                // (see ENTROPY_TABLES), so they cannot affect any value.
-                let threads = crate::pool::global().threads();
-                let work = locals.len() * store.matrix().candidate_count();
-                if threads > 1 && locals.len() >= 2 && work > 1 << 16 {
-                    let chunk = locals.len().div_ceil(threads);
-                    let matrix = store.matrix();
-                    let probs = &self.probs;
-                    let tasks: Vec<crate::pool::Task<'_, Vec<f64>>> = locals
-                        .chunks(chunk)
-                        .map(|part| {
-                            Box::new(move || gains_within(matrix, probs, part))
-                                as crate::pool::Task<'_, _>
-                        })
-                        .collect();
-                    crate::pool::global().run(tasks).into_iter().flatten().collect()
-                } else {
-                    gains_within(store.matrix(), &self.probs, &locals)
-                }
-            }
-            Repr::Sharded(set) => {
-                let mut out = vec![0.0; pool.len()];
-                // bucket pool positions by owning shard, then run the
-                // kernel once per touched shard
-                let mut by_shard: HashMap<usize, Vec<(usize, usize)>> = HashMap::new();
-                for (pos, &c) in pool.iter().enumerate() {
-                    let (k, lc) = set.locate(c);
-                    by_shard.entry(k).or_default().push((pos, lc.index()));
-                }
-                let groups: Vec<(usize, Vec<(usize, usize)>)> = by_shard.into_iter().collect();
-                let shard_gains = |&(k, ref entries): &(usize, Vec<(usize, usize)>)| -> Vec<f64> {
-                    let shard = &set.shards[k];
-                    let members = set.components.members(k);
-                    let local_probs: Vec<f64> =
-                        members.iter().map(|&g| self.probs[g.index()]).collect();
-                    let locals: Vec<usize> = entries.iter().map(|&(_, l)| l).collect();
-                    gains_within(shard.store.matrix(), &local_probs, &locals)
-                };
-                // each shard's scan depends only on its own matrix, so big
-                // multi-shard scans fan out across the worker pool — the
-                // per-shard gain vectors are identical either way and each
-                // lands in its own `out` positions, so the result does not
-                // depend on scheduling; small scans stay on the caller to
-                // dodge the handoff cost
-                let work: usize =
-                    groups.iter().map(|(k, e)| e.len() * set.components.members(*k).len()).sum();
-                let per_group: Vec<Vec<f64>> =
-                    if groups.len() > 1 && work > 1 << 14 && crate::pool::global().threads() > 1 {
-                        let shard_gains = &shard_gains;
-                        let tasks: Vec<crate::pool::Task<'_, Vec<f64>>> = groups
-                            .iter()
-                            .map(|g| Box::new(move || shard_gains(g)) as crate::pool::Task<'_, _>)
-                            .collect();
-                        crate::pool::global().run(tasks)
-                    } else {
-                        groups.iter().map(shard_gains).collect()
-                    };
-                for ((_, entries), gains) in groups.iter().zip(per_group) {
-                    for (&(pos, _), g) in entries.iter().zip(gains) {
-                        out[pos] = g;
-                    }
-                }
-                out
+        let set = &self.set;
+        // bucket pool positions by owning shard, then run the kernel once
+        // per touched shard
+        let mut by_shard: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
+        for (pos, &c) in pool.iter().enumerate() {
+            let (k, lc) = set.locate(c);
+            by_shard.entry(k).or_default().push((pos, lc.index()));
+        }
+        // Every candidate's gain is a pure function of its shard's matrix
+        // and probabilities, so the scan splits into tasks freely: one per
+        // touched shard, and a shard whose own work exceeds 2^16 row-pairs
+        // (the whole-network block of a large network) is further cut into
+        // one contiguous chunk per pool thread. Big scans fan out across
+        // the pool and each task's gains land in their own `out`
+        // positions, so the values never depend on scheduling; small scans
+        // stay on the caller to dodge the handoff cost. The denominator
+        // tables are memoized per worker thread from the same closed form
+        // (see ENTROPY_TABLES), so they cannot affect any value either.
+        let threads = crate::pool::global().threads();
+        let mut tasks: Vec<(usize, &[(usize, usize)])> = Vec::new();
+        let mut work = 0;
+        for (&k, entries) in &by_shard {
+            let shard_work = entries.len() * set.components.members(k).len();
+            work += shard_work;
+            let chunk = if threads > 1 && shard_work > 1 << 16 {
+                entries.len().div_ceil(threads)
+            } else {
+                entries.len()
+            };
+            tasks.extend(entries.chunks(chunk).map(|part| (k, part)));
+        }
+        let scan = |&(k, part): &(usize, &[(usize, usize)])| -> Vec<f64> {
+            let locals: Vec<usize> = part.iter().map(|&(_, l)| l).collect();
+            gains_within(set.shards[k].store.matrix(), &self.shard_probs(k), &locals)
+        };
+        let per_task: Vec<Vec<f64>> = if threads > 1 && tasks.len() > 1 && work > 1 << 14 {
+            let scan = &scan;
+            crate::pool::global().run(
+                tasks
+                    .iter()
+                    .map(|t| Box::new(move || scan(t)) as crate::pool::Task<'_, _>)
+                    .collect(),
+            )
+        } else {
+            tasks.iter().map(scan).collect()
+        };
+        let mut out = vec![0.0; pool.len()];
+        for ((_, part), gains) in tasks.iter().zip(per_task) {
+            for (&(pos, _), g) in part.iter().zip(gains) {
+                out[pos] = g;
             }
         }
+        out
     }
 
     /// The greedy initialization of Algorithm 2: the best stored sample by
     /// size (minimal repair distance), tie-broken by log-likelihood when
-    /// `use_likelihood`. Both criteria decompose over independent
-    /// components, so the sharded representation composes the per-shard
-    /// argmaxes into the global argmax without ever materializing global
-    /// samples. `None` when no sample exists (empty network).
+    /// `use_likelihood`. Both criteria decompose over independent blocks,
+    /// so the per-shard argmaxes compose into the global argmax without
+    /// ever materializing global samples. `None` when no sample exists
+    /// (empty network).
     pub fn greedy_seed(&self, use_likelihood: bool) -> Option<BitSet> {
-        match &self.repr {
-            Repr::Monolithic(store) => {
-                best_sample(store.samples(), &self.probs, use_likelihood).map(|(s, _)| s.clone())
-            }
-            Repr::Sharded(set) => {
-                if set.shards.is_empty() {
-                    return None;
-                }
-                let mut global = BitSet::new(self.network.candidate_count());
-                for (k, shard) in set.shards.iter().enumerate() {
-                    let members = set.components.members(k);
-                    let local_probs: Vec<f64> =
-                        members.iter().map(|&g| self.probs[g.index()]).collect();
-                    // a shard store is never empty (every component admits
-                    // at least one matching instance); bail defensively so
-                    // callers fall back to the maximize path
-                    let (local_best, _) =
-                        best_sample(shard.store.samples(), &local_probs, use_likelihood)?;
-                    for lc in local_best.iter() {
-                        global.insert(members[lc.index()]);
-                    }
-                }
-                Some(global)
+        if self.set.shards.is_empty() {
+            return None;
+        }
+        let mut global = BitSet::new(self.network.candidate_count());
+        for (k, shard) in self.set.shards.iter().enumerate() {
+            // a shard store is never empty (every component admits at
+            // least one matching instance); bail defensively so callers
+            // fall back to the maximize path
+            let (local_best, _) =
+                best_sample(shard.store.samples(), &self.shard_probs(k), use_likelihood)?;
+            let members = self.set.components.members(k);
+            for lc in local_best.iter() {
+                global.insert(members[lc.index()]);
             }
         }
+        Some(global)
     }
 }
 
@@ -1032,7 +878,7 @@ pub(crate) fn log_likelihood_of(probs: &[f64], inst: &BitSet) -> f64 {
 
 /// Algorithm 2's lexicographic instance ordering: smaller repair distance
 /// (= larger instance) first, then larger likelihood when enabled — the
-/// single definition shared by the greedy seed (both representations) and
+/// single definition shared by the greedy seed (every partition) and
 /// the local search of [`crate::instantiate`].
 pub(crate) fn better_instance(
     cand: &BitSet,
@@ -1066,19 +912,16 @@ impl GainSource for ProbabilisticNetwork {
     }
 
     fn gain_shard_uncertain(&self, k: usize) -> Vec<CandidateId> {
-        match &self.repr {
-            Repr::Monolithic(_) => self.uncertain_candidates(),
-            Repr::Sharded(set) => set
-                .components
-                .members(k)
-                .iter()
-                .copied()
-                .filter(|&c| {
-                    let p = self.probs[c.index()];
-                    p > 0.0 && p < 1.0
-                })
-                .collect(),
-        }
+        self.set
+            .components
+            .members(k)
+            .iter()
+            .copied()
+            .filter(|&c| {
+                let p = self.probs[c.index()];
+                p > 0.0 && p < 1.0
+            })
+            .collect()
     }
 
     fn compute_gains(&self, pool: &[CandidateId]) -> Vec<f64> {
@@ -1108,13 +951,21 @@ fn best_sample<'a>(
     best
 }
 
-/// Recomputes `P` from a monolithic store (Eq. 2): the fraction of sampled
-/// instances containing each candidate (uniform weights over the
-/// discovered set; exact Eq. 1 once the store is exhausted). One popcount
-/// pass per candidate row of the transposed sample matrix.
+/// The whole-network partition of `network` under `feedback`: one block
+/// over the network's shared conflict index, its store sampled afresh
+/// (Algorithm 3, seeded `sampler.seed`).
+fn sample_whole(
+    network: &MatchingNetwork,
+    feedback: &Feedback,
+    sampler: SamplerConfig,
+) -> ShardSet {
+    let store = SampleStore::with_index(network.index(), feedback, sampler);
+    ShardSet::whole(network.shared_index(), feedback.clone(), store)
+}
+
 /// The structural half of [`ProbabilisticNetwork::to_state`]: schemas,
 /// graph, candidates and conflict index of a bare [`MatchingNetwork`],
-/// with empty feedback, a zero entropy baseline and an empty monolithic
+/// with empty feedback, a zero entropy baseline and an empty whole-network
 /// store standing in for the sample representation. This is the
 /// *structure-only* image the distributed mode ships to bootstrap shard
 /// servers — they rebuild their owned shards from it rather than
@@ -1232,24 +1083,6 @@ pub(crate) fn network_from_state(
             .collect(),
     );
     Ok(MatchingNetwork::from_parts(catalog, graph, candidates, index))
-}
-
-fn recompute_monolithic(store: &SampleStore, feedback: &Feedback, probs: &mut Vec<f64>) {
-    let matrix = store.matrix();
-    let n = matrix.candidate_count();
-    let total = matrix.sample_count();
-    probs.clear();
-    if total == 0 {
-        // no instance (empty network): everything unasserted is 0
-        probs.resize(n, 0.0);
-        for c in feedback.approved().iter() {
-            probs[c.index()] = 1.0;
-        }
-        return;
-    }
-    probs.extend(
-        (0..n).map(|i| matrix.membership_count(CandidateId::from_index(i)) as f64 / total as f64),
-    );
 }
 
 thread_local! {
@@ -1952,9 +1785,7 @@ mod tests {
         let mut branch = base.fork();
         branch.assert_candidate(Assertion { candidate: CandidateId(0), approved: true }).unwrap();
         // the untouched shard's snapshot is still pointer-shared
-        let (Repr::Sharded(a), Repr::Sharded(b)) = (&base.repr, &branch.repr) else {
-            unreachable!("both sharded")
-        };
+        let (a, b) = (&base.set, &branch.set);
         let k_written = base.shard_of(CandidateId(0));
         let k_shared = 1 - k_written;
         assert!(
@@ -2034,7 +1865,7 @@ mod tests {
         let queries: Vec<(CandidateId, bool)> =
             (0..5).map(CandidateId::from_index).flat_map(|c| [(c, true), (c, false)]).collect();
         for (m, s) in mono.what_if_batch(&queries).iter().zip(shard.what_if_batch(&queries)) {
-            assert!((m - s).abs() < 1e-12, "monolithic {m} vs sharded {s}");
+            assert!((m - s).abs() < 1e-12, "whole {m} vs sharded {s}");
         }
     }
 

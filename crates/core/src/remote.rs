@@ -23,12 +23,11 @@
 
 use crate::feedback::{Assertion, Feedback};
 use crate::persist::{FeedbackState, NetworkState, ShardState};
-use crate::pool;
 use crate::probability::{gains_within, network_from_state, network_to_structure};
 use crate::reconcile::StepOutcome;
 use crate::sampling::{SampleStore, SamplerConfig};
 use crate::shard::{
-    build_evolved_shard, build_shard, commit_lane_local, entropy_after_local, merged_inputs,
+    build_evolved_shard, build_shards, commit_lane_local, entropy_after_local, merged_inputs,
     snapshot_entropy, snapshot_probabilities, split_inputs, ShardSnapshot, ShardingConfig,
 };
 use crate::MatchingNetwork;
@@ -58,9 +57,9 @@ impl ShardHost {
     /// `ShardSet::build` derives them, and each
     /// owned shard is built by the same seeded builder — so the union of
     /// the hosts' shards across servers is bit-identical to the
-    /// single-process shard set. Sampled fills of distinct owned shards
-    /// run across the worker pool when configured, exactly like the
-    /// single-process parallel build (the result does not depend on it).
+    /// single-process shard set. Owned shards fill through the same
+    /// `build_shards` rule as the single-process build, across the worker
+    /// pool when that pays (the result does not depend on it).
     ///
     /// Panics if an entry of `owned` is not a component id; validate
     /// wire-derived lists with [`Components::count`] via
@@ -76,25 +75,8 @@ impl ShardHost {
         for &k in owned {
             assert!(k < components.count(), "owned component {k} out of range");
         }
-        let any_sampled =
-            owned.iter().any(|&k| sub_indices[k].candidate_count() > sharding.exact_threshold);
-        let shards: Vec<Arc<ShardSnapshot>> = if sharding.parallel && any_sampled && owned.len() > 1
-        {
-            let tasks: Vec<pool::Task<'_, Arc<ShardSnapshot>>> = owned
-                .iter()
-                .map(|&k| {
-                    let sub = sub_indices[k].clone();
-                    Box::new(move || Arc::new(build_shard(k, sub, sampler, &sharding)))
-                        as pool::Task<'_, Arc<ShardSnapshot>>
-                })
-                .collect();
-            pool::global().run(tasks)
-        } else {
-            owned
-                .iter()
-                .map(|&k| Arc::new(build_shard(k, sub_indices[k].clone(), sampler, &sharding)))
-                .collect()
-        };
+        let subs = owned.iter().map(|&k| (k, sub_indices[k].clone())).collect();
+        let shards = build_shards(subs, sampler, &sharding);
         let owned = owned.iter().copied().zip(shards).collect();
         Self { network, components: Arc::new(components), owned, sampler, sharding }
     }

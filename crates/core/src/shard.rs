@@ -5,14 +5,20 @@
 //! connected components of the conflict graph
 //! ([`smn_constraints::Components`]): `I` is a matching
 //! instance of the network iff every per-component restriction is a
-//! matching instance of that component. `ShardSet` materializes that
-//! factorization — one independent [`SampleStore`] per component, running
-//! on a restricted, locally renumbered
-//! [`smn_constraints::ConflictIndex`] — and is the internal
-//! representation behind
-//! [`ProbabilisticNetwork::new_sharded`](crate::ProbabilisticNetwork::new_sharded).
+//! matching instance of that component. `ShardSet` materializes a
+//! partition of the candidates into blocks — one independent
+//! [`SampleStore`] per block, running on a restricted, locally renumbered
+//! [`smn_constraints::ConflictIndex`] — and is the one sample
+//! representation behind [`ProbabilisticNetwork`](crate::ProbabilisticNetwork).
+//! Two partitions are in use:
 //!
-//! What the factorization buys:
+//! * **whole network** (`ShardSet::whole`, the paper's Algorithm 3
+//!   setup and the default) — one block holding every candidate in id
+//!   order over the network's own index, so local ids are global ids;
+//! * **component-sharded** (`ShardSet::build`) — one block per conflict
+//!   component.
+//!
+//! What the component partition buys:
 //!
 //! * **Local assertions** — integrating feedback on `c` view-maintains and
 //!   recomputes only the shard owning `c`, not the whole store.
@@ -41,12 +47,12 @@ use smn_constraints::{BitSet, Components, ConflictIndex};
 use smn_schema::CandidateId;
 use std::sync::Arc;
 
-/// Configuration of the component-sharded representation.
+/// Configuration of the sample partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardingConfig {
-    /// Whether sharding is active at all;
-    /// [`disabled`](ShardingConfig::disabled) keeps the classic monolithic
-    /// store.
+    /// Whether the store is partitioned by conflict component;
+    /// [`disabled`](ShardingConfig::disabled) keeps the whole-network
+    /// partition — one always-sampled block over every candidate.
     pub enabled: bool,
     /// Components with at most this many candidates switch from sampling
     /// to exact enumeration (`0` samples everything).
@@ -54,19 +60,16 @@ pub struct ShardingConfig {
     /// Instance cap for the exact-enumeration attempt; a small component
     /// that still exceeds it falls back to sampling.
     pub exact_cap: usize,
-    /// Fill shard stores across scoped worker threads. Off, shards fill
-    /// sequentially on the caller thread — same result either way.
-    pub parallel: bool,
 }
 
 impl Default for ShardingConfig {
     fn default() -> Self {
-        Self { enabled: true, exact_threshold: 24, exact_cap: 4096, parallel: true }
+        Self { enabled: true, exact_threshold: 24, exact_cap: 4096 }
     }
 }
 
 impl ShardingConfig {
-    /// The monolithic (non-sharded) configuration.
+    /// The whole-network (one-block) configuration.
     pub fn disabled() -> Self {
         Self { enabled: false, ..Self::default() }
     }
@@ -89,8 +92,23 @@ pub(crate) struct ShardSnapshot {
     pub(crate) store: SampleStore,
 }
 
-/// The sharded sample representation: the (shared) component partition
-/// plus one [`ShardSnapshot`] per component.
+impl ShardSnapshot {
+    /// Eq. 2 over this shard's own store: the fraction of its samples
+    /// containing local candidate `lc`. A store without samples (an empty
+    /// block, or defensively contradictory local feedback) keeps its
+    /// approvals certain and everything else at 0.
+    fn probability(&self, lc: CandidateId) -> f64 {
+        let matrix = self.store.matrix();
+        match matrix.sample_count() {
+            0 if self.feedback.approved().contains(lc) => 1.0,
+            0 => 0.0,
+            total => matrix.membership_count(lc) as f64 / total as f64,
+        }
+    }
+}
+
+/// The sample representation: the (shared) partition plus one
+/// [`ShardSnapshot`] per block.
 ///
 /// This is the copy-on-write layer behind
 /// [`ProbabilisticNetwork::fork`](crate::ProbabilisticNetwork::fork):
@@ -104,31 +122,31 @@ pub(crate) struct ShardSet {
 }
 
 impl ShardSet {
-    /// Partitions `index` into components and builds every shard store —
-    /// in parallel when configured and worthwhile.
+    /// Partitions `index` into conflict components and builds every shard
+    /// store (see [`build_shards`]).
     pub(crate) fn build(
         index: &ConflictIndex,
         sampler: SamplerConfig,
         sharding: &ShardingConfig,
     ) -> Self {
         let components = Components::of_index(index);
-        let sub_indices = index.shard(&components);
-        // dispatching to the pool only pays when at least one shard must
-        // be *sampled*; all-exact builds (every component at or below the
-        // exact threshold) are microseconds of enumeration and run faster
-        // sequentially than any cross-thread handoff
-        let any_sampled =
-            sub_indices.iter().any(|s| s.candidate_count() > sharding.exact_threshold);
-        let shards = if sharding.parallel && any_sampled && sub_indices.len() > 1 {
-            build_parallel(sub_indices, sampler, sharding)
-        } else {
-            sub_indices
-                .into_iter()
-                .enumerate()
-                .map(|(k, sub)| Arc::new(build_shard(k, sub, sampler, sharding)))
-                .collect()
-        };
-        Self { components: Arc::new(components), shards }
+        let subs = index.shard(&components).into_iter().enumerate().collect();
+        Self { components: Arc::new(components), shards: build_shards(subs, sampler, sharding) }
+    }
+
+    /// The whole-network partition: one block holding every candidate in
+    /// id order, so its local ids are the global ids. The block shares the
+    /// network's `index` instead of a restricted copy, carries `feedback`
+    /// as its local feedback, and keeps `store` — always sampled and
+    /// seeded `seed + 0`, which is exactly the paper's Algorithm 3 store.
+    pub(crate) fn whole(index: Arc<ConflictIndex>, feedback: Feedback, store: SampleStore) -> Self {
+        let n = index.candidate_count();
+        let components =
+            Components::from_members(n, vec![(0..n).map(CandidateId::from_index).collect()]);
+        Self {
+            components: Arc::new(components),
+            shards: vec![Arc::new(ShardSnapshot { index, feedback, store })],
+        }
     }
 
     /// Whether every shard store is exhausted — then the factorized
@@ -289,22 +307,8 @@ impl ShardSet {
     /// the global vector.
     pub(crate) fn write_shard_probabilities(&self, k: usize, probs: &mut [f64]) {
         let shard = &self.shards[k];
-        let members = self.components.members(k);
-        let matrix = shard.store.matrix();
-        let total = matrix.sample_count();
-        for (j, &g) in members.iter().enumerate() {
-            let lc = CandidateId::from_index(j);
-            probs[g.index()] = if total == 0 {
-                // no instance (contradictory local feedback cannot happen;
-                // defensive mirror of the monolithic empty-store rule)
-                if shard.feedback.approved().contains(lc) {
-                    1.0
-                } else {
-                    0.0
-                }
-            } else {
-                matrix.membership_count(lc) as f64 / total as f64
-            };
+        for (j, &g) in self.components.members(k).iter().enumerate() {
+            probs[g.index()] = shard.probability(CandidateId::from_index(j));
         }
     }
 
@@ -405,26 +409,12 @@ pub(crate) fn entropy_after_local(base: &ShardSnapshot, lc: CandidateId, approve
     snapshot_entropy(&snap)
 }
 
-/// One shard's Eq. 2 probabilities in *local* id order, under the same
-/// empty-store rule as [`ShardSet::write_shard_probabilities`] — the wire
-/// shape a shard server reports, scattered into the global vector by the
+/// One shard's Eq. 2 probabilities in *local* id order — the wire shape a
+/// shard server reports, scattered into the global vector by the
 /// coordinator.
 pub(crate) fn snapshot_probabilities(snap: &ShardSnapshot) -> Vec<f64> {
-    let matrix = snap.store.matrix();
-    let total = matrix.sample_count();
     (0..snap.index.candidate_count())
-        .map(|j| {
-            let lc = CandidateId::from_index(j);
-            if total == 0 {
-                if snap.feedback.approved().contains(lc) {
-                    1.0
-                } else {
-                    0.0
-                }
-            } else {
-                matrix.membership_count(lc) as f64 / total as f64
-            }
-        })
+        .map(|j| snap.probability(CandidateId::from_index(j)))
         .collect()
 }
 
@@ -556,25 +546,10 @@ pub(crate) fn split_inputs(
 }
 
 /// Entropy of one shard snapshot: `Σ H(p)` over its local Eq. 2
-/// probabilities, under the same empty-store rule as
-/// [`ShardSet::write_shard_probabilities`].
+/// probabilities.
 pub(crate) fn snapshot_entropy(snap: &ShardSnapshot) -> f64 {
-    let matrix = snap.store.matrix();
-    let total = matrix.sample_count();
     (0..snap.index.candidate_count())
-        .map(|j| {
-            let lc = CandidateId::from_index(j);
-            let p = if total == 0 {
-                if snap.feedback.approved().contains(lc) {
-                    1.0
-                } else {
-                    0.0
-                }
-            } else {
-                matrix.membership_count(lc) as f64 / total as f64
-            };
-            binary_entropy(p)
-        })
+        .map(|j| binary_entropy(snap.probability(CandidateId::from_index(j))))
         .sum()
 }
 
@@ -629,22 +604,31 @@ pub(crate) fn complete_greedily(index: &ConflictIndex, feedback: &Feedback, inst
     }
 }
 
-/// Fills shards across the persistent work-stealing pool, one task per
-/// shard. Each shard's store depends only on its own sub-index and seed,
-/// and [`pool::WorkerPool::run`] returns results in submission (= shard
-/// id) order, so the merged result is identical to the sequential build
-/// regardless of scheduling.
-fn build_parallel(
-    sub_indices: Vec<Arc<ConflictIndex>>,
+/// Builds the listed `(shard id, sub-index)` blocks, one task per shard
+/// across the persistent work-stealing pool when that pays: at least one
+/// shard must be *sampled* (all-exact builds are microseconds of
+/// enumeration and run faster sequentially than any cross-thread
+/// handoff), there must be more than one shard, and the pool must have
+/// more than one thread. Each store depends only on its own sub-index and
+/// seed, and [`pool::WorkerPool::run`] returns results in submission
+/// order, so the result is identical to the sequential build regardless
+/// of scheduling.
+pub(crate) fn build_shards(
+    subs: Vec<(usize, Arc<ConflictIndex>)>,
     sampler: SamplerConfig,
     sharding: &ShardingConfig,
 ) -> Vec<Arc<ShardSnapshot>> {
-    let sharding = *sharding;
-    let tasks: Vec<pool::Task<'_, Arc<ShardSnapshot>>> = sub_indices
+    let any_sampled = subs.iter().any(|(_, sub)| sub.candidate_count() > sharding.exact_threshold);
+    if !(any_sampled && subs.len() > 1 && pool::global().threads() > 1) {
+        return subs
+            .into_iter()
+            .map(|(k, sub)| Arc::new(build_shard(k, sub, sampler, sharding)))
+            .collect();
+    }
+    let tasks: Vec<pool::Task<'_, Arc<ShardSnapshot>>> = subs
         .into_iter()
-        .enumerate()
         .map(|(k, sub)| {
-            Box::new(move || Arc::new(build_shard(k, sub, sampler, &sharding)))
+            Box::new(move || Arc::new(build_shard(k, sub, sampler, sharding)))
                 as pool::Task<'_, Arc<ShardSnapshot>>
         })
         .collect();
@@ -687,24 +671,33 @@ mod tests {
     #[test]
     fn parallel_and_sequential_builds_agree() {
         let (net, _) = perturbed_network(3, 6, 0.6, 0.9, 9);
-        let par = ShardSet::build(
-            net.index(),
-            sampler(),
-            &ShardingConfig { parallel: true, ..Default::default() },
-        );
-        let seq = ShardSet::build(
-            net.index(),
-            sampler(),
-            &ShardingConfig { parallel: false, ..Default::default() },
-        );
-        assert_eq!(par.shards.len(), seq.shards.len());
+        let set = ShardSet::build(net.index(), sampler(), &ShardingConfig::default());
+        let sharding = ShardingConfig::default();
+        let seq: Vec<ShardSnapshot> = net
+            .index()
+            .shard(&set.components)
+            .into_iter()
+            .enumerate()
+            .map(|(k, sub)| build_shard(k, sub, sampler(), &sharding))
+            .collect();
+        assert_eq!(set.shards.len(), seq.len());
+        for (a, b) in set.shards.iter().zip(&seq) {
+            assert_eq!(a.store.samples(), b.store.samples(), "fills must not depend on scheduling");
+        }
+    }
+
+    #[test]
+    fn whole_partition_is_one_block_over_the_shared_index() {
+        let (net, _) = perturbed_network(3, 6, 0.6, 0.9, 9);
         let n = net.candidate_count();
-        let (mut p1, mut p2) = (vec![0.0; n], vec![0.0; n]);
-        par.write_all_probabilities(&mut p1);
-        seq.write_all_probabilities(&mut p2);
-        assert_eq!(p1, p2, "shard fills must not depend on scheduling");
-        for (a, b) in par.shards.iter().zip(&seq.shards) {
-            assert_eq!(a.store.samples(), b.store.samples());
+        let index = Arc::new(net.index().clone());
+        let feedback = Feedback::new(n);
+        let store = SampleStore::with_index(&index, &feedback, sampler());
+        let set = ShardSet::whole(index.clone(), feedback, store);
+        assert_eq!(set.shards.len(), 1);
+        assert!(Arc::ptr_eq(&set.shards[0].index, &index), "the block shares the index");
+        for c in (0..n).map(CandidateId::from_index) {
+            assert_eq!(set.locate(c), (0, c), "local ids are global ids");
         }
     }
 

@@ -17,6 +17,8 @@
 use proptest::prelude::*;
 use smn_constraints::ConstraintConfig;
 use smn_core::feedback::Assertion;
+use smn_core::persist::ReprState;
+use smn_core::sampling::SampleStore;
 use smn_core::selection::{RandomSelection, SelectionStrategy};
 use smn_core::{
     reconcile, InformationGainSelection, MatchingNetwork, ProbabilisticNetwork, ReconciliationGoal,
@@ -181,32 +183,38 @@ proptest! {
 /// The sampled path (exact enumeration disabled): evolution must stay
 /// deterministic — two identical evolution histories yield byte-identical
 /// posteriors — and sound: probabilities in range, assertions pinned,
-/// every retained monolithic sample a feedback-respecting matching
-/// instance.
+/// every retained whole-network sample a feedback-respecting matching
+/// instance. The whole-network partition must also stay one block, and
+/// since its evolution step re-samples that block under the accumulated
+/// feedback, its `P` must equal a fresh whole-network build under the same
+/// feedback and seed, bit for bit.
 #[test]
 fn sampled_shards_evolve_deterministically_and_soundly() {
     let evolve = |sharded: bool| {
         let (net, _) = smn_testkit::perturbed_network(3, 5, 0.6, 0.9, 11);
-        let sharding = ShardingConfig { exact_threshold: 0, parallel: false, ..Default::default() };
+        let sharding = ShardingConfig { exact_threshold: 0, ..Default::default() };
         let mut pn = if sharded {
             ProbabilisticNetwork::new_sharded(net, tiny_sampler(3), sharding)
         } else {
             ProbabilisticNetwork::new(net, tiny_sampler(3))
         };
         let pool = pair_pool(pn.network().catalog());
-        // a fixed little history: two arrivals, one assertion, one retirement
+        // a fixed little history: two arrivals, one assertion, one
+        // retirement, one more arrival
         let fresh: Vec<(AttributeId, AttributeId)> = pool
             .iter()
             .filter(|(x, y)| pn.network().candidates().find(*x, *y).is_none())
-            .take(2)
+            .take(3)
             .copied()
             .collect();
-        for &(x, y) in &fresh {
+        for &(x, y) in &fresh[..2] {
             pn.extend(x, y, 0.5).unwrap();
         }
         let target = CandidateId::from_index(pn.network().candidate_count() / 2);
         let _ = pn.assert_candidate(Assertion { candidate: target, approved: false });
         pn.retire(CandidateId(0)).unwrap();
+        let (x, y) = fresh[2];
+        pn.extend(x, y, 0.5).unwrap();
         pn
     };
     for sharded in [false, true] {
@@ -219,15 +227,28 @@ fn sampled_shards_evolve_deterministically_and_soundly() {
         for c in a.feedback().disapproved().iter() {
             assert_eq!(a.probability(c), 0.0, "disapproval must stay pinned");
         }
-        // the monolithic store exposes its samples: check instance-hood
-        if !sharded {
-            let index = a.network().index();
-            for s in a.samples() {
-                assert!(index.is_consistent(s));
-                assert!(index.is_maximal(s, a.feedback().disapproved()));
-                assert!(a.feedback().respected_by(s));
-            }
+        if sharded {
+            continue;
         }
+        // the whole-network block exposes its samples: check instance-hood
+        let index = a.network().index();
+        assert!(!a.samples().is_empty());
+        for s in a.samples() {
+            assert!(index.is_consistent(s));
+            assert!(index.is_maximal(s, a.feedback().disapproved()));
+            assert!(a.feedback().respected_by(s));
+        }
+        assert_eq!(a.shard_count(), 1, "the whole-network partition stays one block");
+        assert!(!a.feedback().is_empty(), "the history's assertion survives");
+        let mut state = a.to_state();
+        let store = SampleStore::new(a.network(), a.feedback(), tiny_sampler(3));
+        state.repr = ReprState::Monolithic(store.to_state());
+        let fresh = ProbabilisticNetwork::from_state(&state).unwrap();
+        let bits = |pn: &ProbabilisticNetwork| {
+            pn.probabilities().iter().map(|p| p.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&a), bits(&fresh), "evolved P ≠ a fresh build under the same feedback");
+        assert_eq!(a.samples(), fresh.samples());
     }
 }
 

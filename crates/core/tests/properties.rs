@@ -203,7 +203,7 @@ proptest! {
     }
 
     /// Differential: on exhausted stores the component-sharded network is
-    /// indistinguishable from the monolithic one — per-candidate
+    /// indistinguishable from the whole-network one — per-candidate
     /// probabilities, entropy and batch information gains over the
     /// uncertain pool agree within 1e-12 (the factorized posterior is the
     /// same distribution, not an approximation of it).
@@ -217,7 +217,7 @@ proptest! {
         let mono = ProbabilisticNetwork::new(net.clone(), exhaustive);
         prop_assume!(mono.is_exhausted());
         // the §III-B exhaustion rule (two failed refills) is a heuristic:
-        // only compare when the monolithic store really holds all of Ω,
+        // only compare when the whole-network store really holds all of Ω,
         // certified by exact enumeration — the sharded exact path is
         // complete by construction
         let all = enumerate_instances(&net, &Feedback::new(net.candidate_count()), 100_000);
@@ -227,20 +227,20 @@ proptest! {
         prop_assert!(sharded.is_exhausted(), "every shard of an enumerable network exhausts");
         prop_assert!(sharded.shard_count() >= 1);
         for (i, (&p, &q)) in mono.probabilities().iter().zip(sharded.probabilities()).enumerate() {
-            prop_assert!((p - q).abs() < 1e-12, "candidate {i}: monolithic {p} vs sharded {q}");
+            prop_assert!((p - q).abs() < 1e-12, "candidate {i}: whole {p} vs sharded {q}");
         }
         prop_assert!((mono.entropy() - sharded.entropy()).abs() < 1e-12);
         let pool = mono.uncertain_candidates();
         prop_assert_eq!(sharded.uncertain_candidates(), pool.clone());
         let (g_mono, g_sharded) = (mono.information_gains(&pool), sharded.information_gains(&pool));
         for ((&c, &a), &b) in pool.iter().zip(&g_mono).zip(&g_sharded) {
-            prop_assert!((a - b).abs() < 1e-12, "gain of {c}: monolithic {a} vs sharded {b}");
+            prop_assert!((a - b).abs() < 1e-12, "gain of {c}: whole {a} vs sharded {b}");
             prop_assert!((sharded.information_gain(c) - b).abs() < 1e-12);
         }
     }
 
     /// Differential: a fixed assertion sequence drives both
-    /// representations through identical traces (bitwise-equal effort,
+    /// partitions through identical traces (bitwise-equal effort,
     /// entropy and verdicts) on exhausted stores.
     #[test]
     fn sharded_traces_match_monolithic(seed in 0u64..100) {

@@ -34,8 +34,8 @@
 //! | 3  | candidates | `u64 count`, per candidate `u32 a, u32 b, f64 confidence` in id order |
 //! | 4  | index      | `u8 one_to_one, u8 cycle`, `u64 candidate_count`, per candidate `ids pair_conflicts`, `u64 triple_count`, per triple `3 × u32` — the conflict index's *primary* data only; every dense query structure (bit masks, flattened triple tables) is re-derived on load by `ConflictIndex::from_parts` |
 //! | 5  | feedback   | `u64 len`, `ids approved`, `ids disapproved` (global feedback) |
-//! | 6  | config     | sampler `u64 n_samples, u64 walk_steps, u64 n_min, u64 seed, u8 anneal, u64 chains`; `u8 has_sharding`, if set `u8 enabled, u64 exact_threshold, u64 exact_cap, u8 parallel`; `f64 initial_entropy` |
-//! | 7  | partition  | `u8 repr_tag` (0 = monolithic, 1 = sharded); if sharded `u64 component_count`, per component `ids members` (global ids, canonical order) |
+//! | 6  | config     | sampler `u64 n_samples, u64 walk_steps, u64 n_min, u64 seed, u8 anneal, u64 chains`; `u8 has_sharding`, if set `u8 enabled, u64 exact_threshold, u64 exact_cap, u8 reserved` (written as `1`, read and ignored — it held a fill-scheduling flag that never changed a result); `f64 initial_entropy` |
+//! | 7  | partition  | `u8 repr_tag` (0 = whole network: one block over every candidate, 1 = sharded); if sharded `u64 component_count`, per component `ids members` (global ids, canonical order) |
 //! | 8  | stores     | `u64 store_count` (1, or one per component), per store: *(sharded only)* shard feedback `u64 len, ids approved, ids disapproved`, then the store state: sampler config (as in section 6), `u64 candidate_count, u8 exhausted, u64 pass_epoch`, `u64 instance_count`, per instance `ids members` (ascending), `u64 count_len`, per instance `u64 visits` — the distinct-sample multiset Ω\*; the transposed matrix, dedup map and weights are re-derived on load by re-recording in order, bit-identically |
 //! | 9  | history    | `u64 count`, per assertion `u32 candidate, u8 approved` in integration order |
 //!
@@ -450,7 +450,7 @@ fn enc_config(state: &NetworkState) -> Vec<u8> {
             put_bool(&mut b, s.enabled);
             put_u64(&mut b, s.exact_threshold as u64);
             put_u64(&mut b, s.exact_cap as u64);
-            put_bool(&mut b, s.parallel);
+            put_bool(&mut b, true); // reserved (see the section table)
         }
     }
     put_f64(&mut b, state.initial_entropy);
@@ -668,12 +668,13 @@ fn dec_config(bytes: &[u8]) -> Result<ConfigParts, StorageError> {
     let mut d = Dec::new(bytes);
     let sampler = d.sampler()?;
     let sharding = if d.bool("config has_sharding")? {
-        Some(ShardingConfig {
+        let sharding = ShardingConfig {
             enabled: d.bool("sharding enabled")?,
             exact_threshold: d.u64("sharding exact_threshold")? as usize,
             exact_cap: d.u64("sharding exact_cap")? as usize,
-            parallel: d.bool("sharding parallel")?,
-        })
+        };
+        d.bool("sharding reserved")?;
+        Some(sharding)
     } else {
         None
     };
@@ -704,7 +705,7 @@ fn dec_stores(bytes: &[u8], partition: Option<Vec<Vec<u32>>>) -> Result<ReprStat
         None => {
             if n != 1 {
                 return Err(StorageError::Invalid(format!(
-                    "monolithic snapshot must carry exactly one store, found {n}"
+                    "whole-network snapshot must carry exactly one store, found {n}"
                 )));
             }
             ReprState::Monolithic(d.store()?)

@@ -62,7 +62,7 @@ fn fig1_round_trips_monolithic_and_sharded() {
 #[test]
 fn perturbed_preset_round_trips_in_the_sampled_regime() {
     let (net, _) = perturbed_network(3, 6, 0.7, 0.9, 11);
-    // monolithic keeps a genuinely sampled (non-exhausted) store: the
+    // the whole-network block keeps a genuinely sampled (non-exhausted) store: the
     // round trip must restore Ω* and its RNG-free derived state exactly
     let mut pn = ProbabilisticNetwork::new(net, tiny_sampler(11));
     assert_round_trip(&pn, &[], 0);
@@ -189,4 +189,33 @@ fn config_fidelity_across_the_round_trip() {
     let (loaded, _, _) = load_with_history(&bytes).unwrap();
     assert_eq!(loaded.to_state().sampler, config);
     assert_eq!(loaded.probabilities(), pn.probabilities());
+}
+
+/// Golden bytes of a whole-network snapshot: a sampled (non-exhausted)
+/// store after a few assertions, some of which refill it. The length and
+/// FNV-1a digest were recorded while the whole network still had its own
+/// store type, so the one-block shard set that replaced it must write
+/// format v1 byte for byte — and, being byte-identical, snapshots of that store still load.
+#[test]
+fn whole_network_snapshot_bytes_are_pinned() {
+    let (net, _) = perturbed_network(3, 6, 0.7, 0.9, 11);
+    let mut pn = ProbabilisticNetwork::new(net, tiny_sampler(11));
+    assert!(!pn.is_exhausted(), "the golden store must be genuinely sampled");
+    let mut history = Vec::new();
+    for (c, approved) in [(1, false), (4, true), (7, false), (0, true), (9, false)] {
+        let a = Assertion { candidate: CandidateId(c), approved };
+        if pn.assert_candidate(a).is_ok() {
+            history.push(a);
+        }
+    }
+    let bytes = save_with_history(&pn, &history, history.len() as u64);
+    let digest = bytes
+        .iter()
+        .fold(0xCBF2_9CE4_8422_2325u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3));
+    assert_eq!(
+        (history.len(), bytes.len(), digest),
+        (5, 5098, 10097591715585566999),
+        "whole-network snapshot moved"
+    );
+    assert_round_trip(&pn, &history, history.len() as u64);
 }
